@@ -102,10 +102,7 @@ fn main() {
         }
     });
 
-    if let Err(e) = proxy.run() {
-        eprintln!("dice-chaos: {e}");
-        std::process::exit(1);
-    }
+    proxy.run();
     let mut out = std::io::stdout();
     for (fault, count) in proxy.counts() {
         let _ = writeln!(out, "dice-chaos injected {fault}: {count}");

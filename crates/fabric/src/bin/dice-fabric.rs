@@ -27,6 +27,7 @@ use std::time::Duration;
 
 use dice_core::FaultKind;
 use dice_fabric::{Coordinator, CoordinatorConfig, Worker, WorkerConfig};
+use dice_serve::net::DrainHandle;
 use dice_serve::signal;
 
 fn usage() -> ! {
@@ -48,7 +49,7 @@ fn usage() -> ! {
 
 /// Polls the signal counter; the first signal drains, the second just
 /// reports (the drain already stops everything this process owns).
-fn watch_signals(role: &'static str, drain: impl Fn() + Send + 'static) {
+fn watch_signals(role: &'static str, handle: DrainHandle) {
     std::thread::spawn(move || {
         let mut seen = 0;
         loop {
@@ -58,7 +59,7 @@ fn watch_signals(role: &'static str, drain: impl Fn() + Send + 'static) {
                 seen = count;
                 if count == 1 {
                     eprintln!("dice-fabric-{role}: draining (finishing in-flight cells)");
-                    drain();
+                    handle.drain();
                 } else {
                     eprintln!("dice-fabric-{role}: still draining");
                 }
@@ -116,12 +117,8 @@ fn run_worker(args: &mut std::env::Args) -> i32 {
         }
     };
     announce("worker", worker.local_addr().expect("bound socket"));
-    let handle = worker.handle();
-    watch_signals("worker", move || handle.drain());
-    if let Err(e) = worker.run() {
-        eprintln!("dice-fabric-worker: {e}");
-        return 1;
-    }
+    watch_signals("worker", worker.handle());
+    worker.run();
     let _ = writeln!(std::io::stdout(), "dice-fabric-worker drained cleanly");
     0
 }
@@ -199,12 +196,8 @@ fn run_coordinator(args: &mut std::env::Args) -> i32 {
         "coordinator",
         coordinator.local_addr().expect("bound socket"),
     );
-    let handle = coordinator.handle();
-    watch_signals("coordinator", move || handle.drain());
-    if let Err(e) = coordinator.run() {
-        eprintln!("dice-fabric-coordinator: {e}");
-        return 1;
-    }
+    watch_signals("coordinator", coordinator.handle());
+    coordinator.run();
     let _ = writeln!(std::io::stdout(), "dice-fabric-coordinator drained cleanly");
     0
 }

@@ -31,9 +31,12 @@
 use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+use dice_serve::net::{accept_until_drained, DrainHandle};
 
 use crate::seeded::SeededRng;
 
@@ -117,19 +120,10 @@ impl Default for ChaosConfig {
     }
 }
 
-/// A handle for draining a running proxy from another thread.
-#[derive(Clone)]
-pub struct ChaosHandle {
-    drain: Arc<AtomicBool>,
-}
-
-impl ChaosHandle {
-    /// Stops the accept loop; in-flight connections run out their
-    /// (bounded) timeouts on their own threads.
-    pub fn drain(&self) {
-        self.drain.store(true, Ordering::SeqCst);
-    }
-}
+/// A handle for draining a running proxy from another thread:
+/// [`DrainHandle::drain`] wakes and stops the accept loop; in-flight
+/// connections run out their (bounded) timeouts on their own threads.
+pub type ChaosHandle = DrainHandle;
 
 struct ChaosShared {
     config: ChaosConfig,
@@ -151,7 +145,7 @@ impl ChaosShared {
 /// The fault-injection proxy.
 pub struct ChaosProxy {
     listener: TcpListener,
-    drain: Arc<AtomicBool>,
+    drain: DrainHandle,
     shared: Arc<ChaosShared>,
 }
 
@@ -164,8 +158,8 @@ impl ChaosProxy {
     pub fn bind(config: ChaosConfig) -> io::Result<ChaosProxy> {
         let listener = TcpListener::bind(("127.0.0.1", config.port))?;
         Ok(ChaosProxy {
+            drain: DrainHandle::for_listener(&listener)?,
             listener,
-            drain: Arc::new(AtomicBool::new(false)),
             shared: Arc::new(ChaosShared {
                 config,
                 counts: Mutex::new(BTreeMap::new()),
@@ -186,9 +180,7 @@ impl ChaosProxy {
     /// A drain handle, safe to move to signal watchers or tests.
     #[must_use]
     pub fn handle(&self) -> ChaosHandle {
-        ChaosHandle {
-            drain: Arc::clone(&self.drain),
-        }
+        self.drain.clone()
     }
 
     /// Injection tallies so far: `(fault-or-"clean", connections)`.
@@ -203,27 +195,19 @@ impl ChaosProxy {
             .collect()
     }
 
-    /// Accepts and proxies until [`ChaosHandle::drain`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates listener configuration failures.
-    pub fn run(&self) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        while !self.drain.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let idx = self.shared.connections.fetch_add(1, Ordering::SeqCst);
-                    let shared = Arc::clone(&self.shared);
-                    std::thread::spawn(move || proxy_connection(&shared, stream, idx));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => {}
-            }
-        }
-        Ok(())
+    /// Accepts and proxies until [`DrainHandle::drain`].
+    pub fn run(&self) {
+        accept_until_drained(
+            &self.listener,
+            &self.drain,
+            |stream| {
+                let idx = self.shared.connections.fetch_add(1, Ordering::SeqCst);
+                let shared = Arc::clone(&self.shared);
+                std::thread::spawn(move || proxy_connection(&shared, stream, idx));
+                ControlFlow::Continue(())
+            },
+            |_| {},
+        );
     }
 }
 
@@ -490,7 +474,7 @@ mod tests {
         .expect("bind proxy");
         let addr = proxy.local_addr().expect("proxy addr");
         let handle = proxy.handle();
-        let thread = std::thread::spawn(move || proxy.run().expect("proxy run"));
+        let thread = std::thread::spawn(move || proxy.run());
 
         let mut client = TcpStream::connect(addr).expect("connect");
         client

@@ -47,24 +47,28 @@
 //! to synthesize an outcome (no live worker ever completed the cell),
 //! the sweep completes with a typed `degraded` reason instead of
 //! pretending the bytes are canonical.
+//!
+//! Progress streams block on a `Condvar` paired with the job-table mutex
+//! and notified on every event push and state change
+//! ([`dice_serve::sse::wait_events`]), so an SSE reader wakes the moment
+//! a cell lands.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dice_obs::{
-    labeled, merge_chrome, render_prometheus, Histogram, Json, MetricRegistry, TraceCtx,
-};
+use dice_obs::{labeled, merge_chrome, Histogram, Json, MetricRegistry, TraceCtx};
 use dice_runner::{cell_key, Cell, CellOutcome, SweepResult};
 use dice_serve::client::{http_post_timeout, http_probe, ProbeError};
 use dice_serve::http::{Request, Response};
-use dice_serve::net::{Handled, NetConfig, NetServer};
-use dice_serve::sse::stream_sse;
+use dice_serve::net::{DrainHandle, Handled, NetConfig, NetMetrics, NetServer};
+use dice_serve::server::{accepted, events_job_id, sweep_path};
+use dice_serve::sse::{stream_sse, wait_events};
 use dice_serve::{render_runs, sweep_key, JobState, SweepSpec};
 
 use crate::breaker::{Breaker, BreakerConfig, JitteredBackoff};
@@ -251,9 +255,11 @@ struct Shared {
     cfg: CoordinatorConfig,
     membership: Mutex<Membership>,
     jobs: Mutex<HashMap<u64, FabricJob>>,
+    /// Paired with `jobs`; notified on every event push and state change.
+    job_changed: Condvar,
     active: AtomicUsize,
-    draining: Arc<AtomicBool>,
-    metrics: Mutex<MetricRegistry>,
+    drain: DrainHandle,
+    metrics: Arc<Mutex<MetricRegistry>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     journal: Option<Journal>,
 }
@@ -408,28 +414,25 @@ impl Shared {
         }
     }
 
+    /// Applies `f` to job `id` (if known), then wakes every event
+    /// waiter.
+    fn update_job(&self, id: u64, f: impl FnOnce(&mut FabricJob)) {
+        if let Some(job) = self.jobs.lock().expect("jobs poisoned").get_mut(&id) {
+            f(job);
+        }
+        self.job_changed.notify_all();
+    }
+
     /// Pushes one rendered progress event onto job `id`.
     fn push_event(&self, id: u64, event: String) {
-        let mut jobs = self.jobs.lock().expect("jobs poisoned");
-        if let Some(job) = jobs.get_mut(&id) {
-            job.events.push(Arc::new(event));
-        }
+        self.update_job(id, |job| job.events.push(Arc::new(event)));
     }
 }
 
-/// A handle for draining a running coordinator from another thread.
-#[derive(Clone)]
-pub struct CoordinatorHandle {
-    drain: Arc<AtomicBool>,
-}
-
-impl CoordinatorHandle {
-    /// Begins a graceful drain: no new sweeps, running scatters finish,
-    /// [`Coordinator::run`] returns once they have.
-    pub fn drain(&self) {
-        self.drain.store(true, Ordering::SeqCst);
-    }
-}
+/// A handle for draining a running coordinator from another thread:
+/// [`DrainHandle::drain`] begins a graceful drain (no new sweeps, running
+/// scatters finish), and [`Coordinator::run`] returns once they have.
+pub type CoordinatorHandle = DrainHandle;
 
 /// The coordinator node.
 pub struct Coordinator {
@@ -452,7 +455,6 @@ impl Coordinator {
     /// Propagates the bind failure and journal open/recovery failures.
     pub fn bind(config: CoordinatorConfig) -> io::Result<Coordinator> {
         let net = NetServer::bind(&config.net)?;
-        let draining = net.drain_flag();
 
         let (journal, recovery) = match &config.journal {
             Some(path) => {
@@ -491,9 +493,10 @@ impl Coordinator {
             cfg: config,
             membership: Mutex::new(membership),
             jobs: Mutex::new(HashMap::new()),
+            job_changed: Condvar::new(),
             active: AtomicUsize::new(0),
-            draining,
-            metrics: Mutex::new(MetricRegistry::new()),
+            drain: net.drain_handle(),
+            metrics: Arc::new(Mutex::new(MetricRegistry::new())),
             threads: Mutex::new(Vec::new()),
             journal,
         });
@@ -515,91 +518,50 @@ impl Coordinator {
     /// A drain handle, safe to move to signal watchers or tests.
     #[must_use]
     pub fn handle(&self) -> CoordinatorHandle {
-        CoordinatorHandle {
-            drain: self.net.drain_flag(),
-        }
+        self.net.drain_handle()
     }
 
-    /// Serves until [`CoordinatorHandle::drain`], then waits for running
+    /// Serves until [`DrainHandle::drain`], then waits for running
     /// sweeps to gather and returns.
-    ///
-    /// # Errors
-    ///
-    /// Propagates listener configuration failures.
-    pub fn run(&self) -> io::Result<()> {
+    pub fn run(&self) {
         let shared = Arc::clone(&self.shared);
         let handler =
             Arc::new(move |request: &Request, stream: &TcpStream| handle(request, stream, &shared));
-        let shared = Arc::clone(&self.shared);
-        let observe = Arc::new(move |status: u16, elapsed: Duration| {
-            let mut reg = shared.metrics.lock().expect("metrics poisoned");
-            let id = reg.counter("fabric.http_requests");
-            reg.inc(id);
-            let id = reg.counter(match status {
-                200..=299 => "fabric.http_2xx",
-                400..=499 => "fabric.http_4xx",
-                _ => "fabric.http_5xx",
-            });
-            reg.inc(id);
-            let hist = reg.histogram("fabric.request_micros");
-            reg.observe(hist, elapsed.as_micros() as u64);
-        });
-        let shared = Arc::clone(&self.shared);
-        let count = Arc::new(move |event: &'static str| {
-            shared.count(match event {
-                "conns_rejected" => "fabric.conns_rejected",
-                _ => "fabric.accept_errors",
-            });
-        });
-        self.net.run(handler, Some(observe), Some(count))?;
-        // Accept loop has stopped; let in-flight scatters gather.
-        while self.shared.active.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        let metrics = NetMetrics {
+            registry: Arc::clone(&self.shared.metrics),
+            family: "fabric",
+        };
+        self.net.run(handler, &metrics);
+        // Accept loop has stopped, so no new scatter threads can start:
+        // joining the recorded ones lets every in-flight scatter gather.
         let handles = std::mem::take(&mut *self.shared.threads.lock().expect("threads poisoned"));
         for handle in handles {
             let _ = handle.join();
         }
-        Ok(())
     }
 }
 
 fn handle(request: &Request, stream: &TcpStream, shared: &Arc<Shared>) -> Handled {
-    let path = request.path.split('?').next().unwrap_or("").to_owned();
-    if let Some(id_text) = path
-        .strip_prefix("/v1/sweeps/")
-        .and_then(|p| p.strip_suffix("/events"))
-    {
-        if request.method != "GET" {
-            return Handled::Respond(Response::error(405, "method not allowed"));
+    match events_job_id(request) {
+        Some(Ok(id)) => {
+            let mut out = stream;
+            Handled::Streamed(stream_sse(&mut out, |cursor, timeout| {
+                wait_events(&shared.jobs, &shared.job_changed, cursor, timeout, |jobs| {
+                    let job = jobs.get(&id)?;
+                    Some((job.events.as_slice(), job.state))
+                })
+            }))
         }
-        let Ok(id) = u64::from_str_radix(id_text, 16) else {
-            return Handled::Respond(Response::error(400, "job id must be hex"));
-        };
-        let mut out = stream;
-        return Handled::Streamed(stream_sse(&mut out, |cursor| {
-            let jobs = shared.jobs.lock().expect("jobs poisoned");
-            jobs.get(&id).map(|job| {
-                let events = match job.events.get(cursor..) {
-                    Some(rest) => rest.to_vec(),
-                    None => Vec::new(),
-                };
-                let terminal = matches!(
-                    job.state,
-                    JobState::Done | JobState::Failed | JobState::Cancelled
-                )
-                .then(|| job.state.as_str());
-                (events, terminal)
-            })
-        }));
+        Some(Err(response)) => Handled::Respond(response),
+        None => Handled::Respond(route(request, shared)),
     }
-    Handled::Respond(route(request, &path, shared))
 }
 
-fn route(request: &Request, path: &str, shared: &Arc<Shared>) -> Response {
+fn route(request: &Request, shared: &Arc<Shared>) -> Response {
+    let path = request.path.split('?').next().unwrap_or("");
     match (request.method.as_str(), path) {
         ("GET", "/healthz") => {
-            if shared.draining.load(Ordering::SeqCst) {
+            if shared.drain.is_draining() {
                 Response::error(503, "draining").with_header("Retry-After", "1")
             } else {
                 Response::text(200, "ok\n")
@@ -613,17 +575,7 @@ fn route(request: &Request, path: &str, shared: &Arc<Shared>) -> Response {
             ])
             .render(),
         ),
-        ("GET", "/metrics") => {
-            let reg = shared.metrics.lock().expect("metrics poisoned");
-            let body = render_prometheus(&reg);
-            drop(reg);
-            Response {
-                status: 200,
-                content_type: "text/plain; version=0.0.4; charset=utf-8",
-                extra: Vec::new(),
-                body: body.into_bytes(),
-            }
-        }
+        ("GET", "/metrics") => Response::prometheus(&shared.metrics),
         ("GET", "/v1/fabric/membership") => {
             let m = shared.membership.lock().expect("membership poisoned");
             Response::json(200, m.doc().render())
@@ -668,7 +620,7 @@ fn drain_node(path: &str, shared: &Arc<Shared>) -> Response {
 
 /// `POST /v1/sweeps`: parse, coalesce, admit, scatter.
 fn submit_sweep(request: &Request, shared: &Arc<Shared>) -> Response {
-    if shared.draining.load(Ordering::SeqCst) {
+    if shared.drain.is_draining() {
         return Response::error(503, "draining");
     }
     let Ok(text) = std::str::from_utf8(&request.body) else {
@@ -834,30 +786,11 @@ fn resume_from_journal(shared: &Arc<Shared>, recovery: &crate::journal::Recovery
     }
 }
 
-fn accepted(id: u64, coalesced: bool, state: JobState) -> Response {
-    Response::json(
-        202,
-        Json::Obj(vec![
-            ("id".into(), Json::str(format!("{id:016x}"))),
-            ("state".into(), Json::str(state.as_str())),
-            ("coalesced".into(), Json::Bool(coalesced)),
-        ])
-        .render(),
-    )
-}
-
 /// `GET /v1/sweeps/:id[/report|/trace]` — same shapes as `dice-serve`.
 fn sweep_get(path: &str, shared: &Arc<Shared>) -> Response {
-    let rest = path.trim_start_matches("/v1/sweeps/");
-    let (id_text, want) = if let Some(id) = rest.strip_suffix("/report") {
-        (id, Some("report"))
-    } else if let Some(id) = rest.strip_suffix("/trace") {
-        (id, Some("trace"))
-    } else {
-        (rest, None)
-    };
-    let Ok(id) = u64::from_str_radix(id_text, 16) else {
-        return Response::error(400, "job id must be hex");
+    let (id, want) = match sweep_path(path) {
+        Ok(parsed) => parsed,
+        Err(response) => return response,
     };
     let jobs = shared.jobs.lock().expect("jobs poisoned");
     let Some(job) = jobs.get(&id) else {
@@ -1000,12 +933,7 @@ fn run_fabric_sweep(
     cells: Vec<Cell>,
     mut resume: HashMap<(String, String), CellOutcome>,
 ) {
-    {
-        let mut jobs = shared.jobs.lock().expect("jobs poisoned");
-        if let Some(job) = jobs.get_mut(&id) {
-            job.state = JobState::Running;
-        }
-    }
+    shared.update_job(id, |job| job.state = JobState::Running);
     let started = Instant::now();
     let ctx = TraceCtx::enabled();
     let sweep_name = format!("fabric sweep {id:016x}");
@@ -1240,14 +1168,13 @@ fn run_fabric_sweep(
         sweep: id,
         degraded: degraded.clone(),
     });
-    let mut jobs = shared.jobs.lock().expect("jobs poisoned");
-    if let Some(job) = jobs.get_mut(&id) {
+    shared.update_job(id, |job| {
         job.state = JobState::Done;
         job.body = Some(Arc::new(body));
         job.summary = Some(summary);
         job.degraded = degraded;
         job.trace = Some(Arc::new(trace));
-    }
+    });
 }
 
 /// Applies one gather result to its item and the membership table.

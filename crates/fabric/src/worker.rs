@@ -10,22 +10,20 @@
 //! ([`crate::wire`]). All cross-cell orchestration — placement, retries,
 //! progress, report assembly — lives in the coordinator.
 //!
-//! Draining reuses the accept pool's drain flag: the first SIGTERM stops
-//! the accept loop, in-flight cells finish and respond (their results are
-//! already persisted in the local cache), parked connections get their
-//! answers, and [`Worker::run`] returns.
+//! Draining reuses the accept pool's [`DrainHandle`]: the first SIGTERM
+//! wakes and stops the accept loop, in-flight cells finish and respond
+//! (their results are already persisted in the local cache), parked
+//! connections get their answers, and [`Worker::run`] returns.
 
 use std::io;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use dice_core::{FaultKind, FaultPlan};
-use dice_obs::{render_prometheus, Json, MetricRegistry};
+use dice_obs::{Json, MetricRegistry};
 use dice_runner::{CellOutcome, Runner, RunnerConfig};
 use dice_serve::http::{Request, Response};
-use dice_serve::net::{Handled, NetConfig, NetServer};
+use dice_serve::net::{DrainHandle, Handled, NetConfig, NetMetrics, NetServer};
 use dice_serve::SweepSpec;
 
 use crate::wire::{render_run_object, seal_run_object};
@@ -58,25 +56,16 @@ impl Default for WorkerConfig {
     }
 }
 
-/// A handle for draining a running worker from another thread.
-#[derive(Clone)]
-pub struct WorkerHandle {
-    drain: Arc<AtomicBool>,
-}
-
-impl WorkerHandle {
-    /// Begins a graceful drain; [`Worker::run`] returns once in-flight
-    /// cells have answered.
-    pub fn drain(&self) {
-        self.drain.store(true, Ordering::SeqCst);
-    }
-}
+/// A handle for draining a running worker from another thread:
+/// [`DrainHandle::drain`] begins a graceful drain, and [`Worker::run`]
+/// returns once in-flight cells have answered.
+pub type WorkerHandle = DrainHandle;
 
 struct WorkerShared {
     runner_cfg: RunnerConfig,
     inject: Option<FaultKind>,
-    metrics: Mutex<MetricRegistry>,
-    draining: Arc<AtomicBool>,
+    metrics: Arc<Mutex<MetricRegistry>>,
+    drain: DrainHandle,
 }
 
 /// The worker node.
@@ -93,15 +82,14 @@ impl Worker {
     /// Propagates the bind failure.
     pub fn bind(config: WorkerConfig) -> io::Result<Worker> {
         let net = NetServer::bind(&config.net)?;
-        let draining = net.drain_flag();
         Ok(Worker {
-            net,
             shared: Arc::new(WorkerShared {
                 runner_cfg: config.runner,
                 inject: config.inject,
-                metrics: Mutex::new(MetricRegistry::new()),
-                draining,
+                metrics: Arc::new(Mutex::new(MetricRegistry::new())),
+                drain: net.drain_handle(),
             }),
+            net,
         })
     }
 
@@ -117,35 +105,21 @@ impl Worker {
     /// A drain handle, safe to move to signal watchers or tests.
     #[must_use]
     pub fn handle(&self) -> WorkerHandle {
-        WorkerHandle {
-            drain: self.net.drain_flag(),
-        }
+        self.net.drain_handle()
     }
 
-    /// Serves cells until [`WorkerHandle::drain`], then finishes in-flight
+    /// Serves cells until [`DrainHandle::drain`], then finishes in-flight
     /// cells and returns.
-    ///
-    /// # Errors
-    ///
-    /// Propagates listener configuration failures.
-    pub fn run(&self) -> io::Result<()> {
+    pub fn run(&self) {
         let shared = Arc::clone(&self.shared);
         let handler = Arc::new(move |request: &Request, _stream: &TcpStream| {
             Handled::Respond(route(request, &shared))
         });
-        let shared = Arc::clone(&self.shared);
-        let observe = Arc::new(move |status: u16, _elapsed: Duration| {
-            let mut reg = shared.metrics.lock().expect("metrics poisoned");
-            let id = reg.counter("worker.http_requests");
-            reg.inc(id);
-            let id = reg.counter(match status {
-                200..=299 => "worker.http_2xx",
-                400..=499 => "worker.http_4xx",
-                _ => "worker.http_5xx",
-            });
-            reg.inc(id);
-        });
-        self.net.run(handler, Some(observe), None)
+        let metrics = NetMetrics {
+            registry: Arc::clone(&self.shared.metrics),
+            family: "worker",
+        };
+        self.net.run(handler, &metrics);
     }
 }
 
@@ -153,7 +127,7 @@ fn route(request: &Request, shared: &Arc<WorkerShared>) -> Response {
     let path = request.path.split('?').next().unwrap_or("");
     match (request.method.as_str(), path) {
         ("GET", "/healthz") => {
-            if shared.draining.load(Ordering::SeqCst) {
+            if shared.drain.is_draining() {
                 Response::error(503, "draining").with_header("Retry-After", "1")
             } else {
                 Response::text(200, "ok\n")
@@ -167,17 +141,7 @@ fn route(request: &Request, shared: &Arc<WorkerShared>) -> Response {
             ])
             .render(),
         ),
-        ("GET", "/metrics") => {
-            let reg = shared.metrics.lock().expect("metrics poisoned");
-            let body = render_prometheus(&reg);
-            drop(reg);
-            Response {
-                status: 200,
-                content_type: "text/plain; version=0.0.4; charset=utf-8",
-                extra: Vec::new(),
-                body: body.into_bytes(),
-            }
-        }
+        ("GET", "/metrics") => Response::prometheus(&shared.metrics),
         ("POST", "/v1/cells") => run_cell(request, shared),
         (_, "/healthz" | "/version" | "/metrics" | "/v1/cells") => {
             Response::error(405, "method not allowed")
@@ -189,7 +153,7 @@ fn route(request: &Request, shared: &Arc<WorkerShared>) -> Response {
 /// `POST /v1/cells`: parse a single-cell spec, execute it, answer with
 /// the run object.
 fn run_cell(request: &Request, shared: &Arc<WorkerShared>) -> Response {
-    if shared.draining.load(Ordering::SeqCst) {
+    if shared.drain.is_draining() {
         return Response::error(503, "draining").with_header("Retry-After", "1");
     }
     let Ok(text) = std::str::from_utf8(&request.body) else {

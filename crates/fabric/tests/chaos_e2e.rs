@@ -9,88 +9,17 @@
 //! the coordinator's boot probe — connection 0 through each proxy —
 //! always passes clean; the chaos starts once the fleet is admitted.
 
-use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+mod common;
 
+use std::sync::Arc;
+use std::time::Duration;
+
+use common::{direct_report, scratch, spec_text, TestCoordinator, TestWorker};
 use dice_fabric::{
-    chaos::scheduled_fault, ChaosConfig, ChaosProxy, Coordinator, CoordinatorConfig,
-    CoordinatorHandle, NetFault, Worker, WorkerConfig, ALL_FAULTS,
+    chaos::scheduled_fault, ChaosConfig, ChaosProxy, CoordinatorConfig, NetFault, ALL_FAULTS,
 };
 use dice_obs::Json;
-use dice_runner::{Runner, RunnerConfig};
-use dice_serve::net::NetConfig;
-use dice_serve::{http_get, http_post, render_runs, SweepSpec};
-
-/// A fresh scratch directory under the system temp dir.
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dice-fabric-chaos-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// The 4-cell spec under chaos; small enough that even a slow-read
-/// schedule finishes the matrix quickly.
-fn spec_text(seed: u64) -> String {
-    format!(
-        r#"{{"orgs":["base","dice36"],"workloads":["gcc","mcf"],"scale":4096,"warmup":50,"measure":150,"seed":{seed}}}"#
-    )
-}
-
-/// What a direct single-node `dice-runner` invocation renders for `spec`.
-fn direct_report(spec: &str, cache: PathBuf) -> String {
-    let spec = SweepSpec::parse(spec).expect("valid spec");
-    let runner = Runner::new(RunnerConfig {
-        jobs: 2,
-        cache_dir: Some(cache),
-        ..RunnerConfig::default()
-    })
-    .expect("runner");
-    render_runs(&runner.run(spec.to_cells())).render()
-}
-
-struct TestWorker {
-    addr: String,
-    handle: dice_fabric::WorkerHandle,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl TestWorker {
-    fn boot(cache: PathBuf) -> Self {
-        let worker = Worker::bind(WorkerConfig {
-            net: NetConfig {
-                port: 0,
-                conn_workers: 2,
-                conn_backlog: 16,
-            },
-            runner: RunnerConfig {
-                jobs: 1,
-                cache_dir: Some(cache),
-                ..RunnerConfig::default()
-            },
-            inject: None,
-        })
-        .expect("bind worker");
-        let addr = worker.local_addr().expect("worker addr").to_string();
-        let handle = worker.handle();
-        let thread = std::thread::spawn(move || worker.run().expect("worker run"));
-        TestWorker {
-            addr,
-            handle,
-            thread: Some(thread),
-        }
-    }
-}
-
-impl Drop for TestWorker {
-    fn drop(&mut self) {
-        self.handle.drain();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
+use dice_serve::{http_get, http_post, wait_sweep_end};
 
 struct TestProxy {
     addr: String,
@@ -103,7 +32,7 @@ impl TestProxy {
         let proxy = Arc::new(ChaosProxy::bind(config).expect("bind proxy"));
         let addr = proxy.local_addr().expect("proxy addr").to_string();
         let runner = Arc::clone(&proxy);
-        let thread = std::thread::spawn(move || runner.run().expect("proxy run"));
+        let thread = std::thread::spawn(move || runner.run());
         TestProxy {
             addr,
             proxy,
@@ -161,61 +90,20 @@ fn boot_chaos_coordinator(
     retry_rounds: usize,
 ) -> TestCoordinator {
     assert_eq!(workers.len(), proxies.len());
-    let coordinator = Coordinator::bind(CoordinatorConfig {
-        net: NetConfig {
-            port: 0,
-            conn_workers: 4,
-            conn_backlog: 16,
-        },
+    TestCoordinator::start(CoordinatorConfig {
         workers: proxies.iter().map(|p| p.addr.clone()).collect(),
-        backoff: Duration::from_millis(10),
         backoff_cap: Duration::from_millis(200),
         cell_timeout: Duration::from_secs(15),
         retry_rounds,
         hedge_after,
-        ..CoordinatorConfig::default()
+        ..TestCoordinator::config(workers)
     })
-    .expect("bind coordinator");
-    let addr = coordinator
-        .local_addr()
-        .expect("coordinator addr")
-        .to_string();
-    let handle = coordinator.handle();
-    let thread = std::thread::spawn(move || coordinator.run().expect("coordinator run"));
-    TestCoordinator {
-        addr,
-        handle,
-        thread: Some(thread),
-    }
 }
 
-struct TestCoordinator {
-    addr: String,
-    handle: CoordinatorHandle,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl TestCoordinator {
-    fn shutdown(mut self) {
-        self.handle.drain();
-        if let Some(thread) = self.thread.take() {
-            thread.join().expect("coordinator thread");
-        }
-    }
-}
-
-impl Drop for TestCoordinator {
-    fn drop(&mut self) {
-        self.handle.drain();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-/// Submits `spec` and polls to a terminal state within `budget` — the
-/// no-hang half of the chaos invariant. Returns the report bytes and
-/// the status document's typed `degraded` reason, if any.
+/// Submits `spec` and waits on its event stream to a terminal state
+/// within `budget` — the no-hang half of the chaos invariant. Returns the
+/// report bytes and the status document's typed `degraded` reason, if
+/// any.
 fn run_under_chaos(addr: &str, spec: &str, budget: Duration) -> (String, Option<String>) {
     let resp = http_post(addr, "/v1/sweeps", spec).expect("POST sweep");
     assert_eq!(resp.status, 202, "submit body: {}", resp.text());
@@ -225,28 +113,16 @@ fn run_under_chaos(addr: &str, spec: &str, budget: Duration) -> (String, Option<
         .and_then(Json::as_str)
         .expect("job id")
         .to_owned();
-    let deadline = Instant::now() + budget;
-    let degraded = loop {
-        let status = http_get(addr, &format!("/v1/sweeps/{id}")).expect("GET status");
-        assert_eq!(status.status, 200);
-        let doc = Json::parse(&status.text()).expect("status JSON");
-        match doc.get("state").and_then(Json::as_str) {
-            Some("done") => {
-                break doc
-                    .get("degraded")
-                    .and_then(Json::as_str)
-                    .map(str::to_owned)
-            }
-            Some("failed") => panic!("sweep failed under chaos: {}", status.text()),
-            _ => {
-                assert!(
-                    Instant::now() < deadline,
-                    "sweep hung under chaos (no terminal state in {budget:?})"
-                );
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    };
+    let end = wait_sweep_end(addr, &id, budget).unwrap_or_else(|e| {
+        panic!("sweep hung under chaos (no terminal state in {budget:?}): {e}")
+    });
+    let status = http_get(addr, &format!("/v1/sweeps/{id}")).expect("GET status");
+    assert_eq!(end.as_deref(), Some("done"), "status: {}", status.text());
+    let doc = Json::parse(&status.text()).expect("status JSON");
+    let degraded = doc
+        .get("degraded")
+        .and_then(Json::as_str)
+        .map(str::to_owned);
     let report = http_get(addr, &format!("/v1/sweeps/{id}/report")).expect("GET report");
     assert_eq!(report.status, 200, "terminal sweep must render a report");
     (report.text(), degraded)
@@ -278,8 +154,8 @@ fn assert_chaos_invariant(context: &str, report: &str, degraded: Option<&str>, d
 fn clean_proxies_preserve_byte_identity() {
     let spec = spec_text(41);
     let direct = direct_report(&spec, scratch("clean-direct"));
-    let w0 = TestWorker::boot(scratch("clean-w0"));
-    let w1 = TestWorker::boot(scratch("clean-w1"));
+    let w0 = TestWorker::boot(scratch("clean-w0"), None);
+    let w1 = TestWorker::boot(scratch("clean-w1"), None);
     let template = ChaosConfig {
         percent: 0,
         io_timeout: Duration::from_secs(10),
@@ -306,8 +182,8 @@ fn every_fault_kind_terminates_with_identity_or_typed_degrade() {
     let direct = direct_report(&spec, scratch("matrix-direct"));
     for (i, fault) in ALL_FAULTS.into_iter().enumerate() {
         let name = fault.as_str();
-        let w0 = TestWorker::boot(scratch(&format!("matrix-{name}-w0")));
-        let w1 = TestWorker::boot(scratch(&format!("matrix-{name}-w1")));
+        let w0 = TestWorker::boot(scratch(&format!("matrix-{name}-w0")), None);
+        let w1 = TestWorker::boot(scratch(&format!("matrix-{name}-w1")), None);
         let template = ChaosConfig {
             faults: vec![fault],
             percent: 45,
@@ -337,8 +213,8 @@ fn every_fault_kind_terminates_with_identity_or_typed_degrade() {
 fn full_fault_mix_with_hedging_terminates() {
     let spec = spec_text(43);
     let direct = direct_report(&spec, scratch("mix-direct"));
-    let w0 = TestWorker::boot(scratch("mix-w0"));
-    let w1 = TestWorker::boot(scratch("mix-w1"));
+    let w0 = TestWorker::boot(scratch("mix-w0"), None);
+    let w1 = TestWorker::boot(scratch("mix-w1"), None);
     let template = ChaosConfig {
         percent: 35,
         latency: Duration::from_millis(150),
@@ -376,7 +252,7 @@ fn refuse_storm_degrades_with_typed_outcome() {
     // must come back as a fabric-synthesized failure, the sweep must
     // still reach `done`, and the degraded reason must be typed.
     let spec = spec_text(44);
-    let worker = TestWorker::boot(scratch("storm-w0"));
+    let worker = TestWorker::boot(scratch("storm-w0"), None);
     let template = ChaosConfig {
         faults: vec![NetFault::Refuse],
         percent: 99,

@@ -11,33 +11,16 @@
 //!    moment its journal shows a completed cell, restarts it on the same
 //!    journal, and demands the same byte-identical report.
 
+mod common;
+
 use std::io::BufRead;
-use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use dice_fabric::{
-    render_run_object, Coordinator, CoordinatorConfig, CoordinatorHandle, Journal, JournalRecord,
-    Worker, WorkerConfig,
-};
+use common::{direct_report, scratch, spec_text, TestCoordinator, TestWorker};
+use dice_fabric::{render_run_object, CoordinatorConfig, Journal, JournalRecord};
 use dice_obs::Json;
 use dice_runner::{Runner, RunnerConfig};
-use dice_serve::net::NetConfig;
-use dice_serve::{http_get, http_post, render_runs, sse_data_lines, sweep_key, SweepSpec};
-
-/// A fresh scratch directory under the system temp dir.
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dice-fabric-crash-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// The fast 4-cell spec used by the in-process tests.
-fn spec_text(seed: u64) -> String {
-    format!(
-        r#"{{"orgs":["base","dice36"],"workloads":["gcc","mcf"],"scale":4096,"warmup":50,"measure":150,"seed":{seed}}}"#
-    )
-}
+use dice_serve::{http_get, http_post, sse_data_lines, sweep_key, wait_sweep_end, SweepSpec};
 
 /// A 4-cell spec slow enough (~0.5s+ per cell in debug builds) that a
 /// subprocess kill lands mid-sweep instead of after completion.
@@ -47,127 +30,10 @@ fn slow_spec_text(seed: u64) -> String {
     )
 }
 
-/// What a direct single-node `dice-runner` invocation renders for `spec`.
-fn direct_report(spec: &str, cache: PathBuf) -> String {
-    let spec = SweepSpec::parse(spec).expect("valid spec");
-    let runner = Runner::new(RunnerConfig {
-        jobs: 2,
-        cache_dir: Some(cache),
-        ..RunnerConfig::default()
-    })
-    .expect("runner");
-    render_runs(&runner.run(spec.to_cells())).render()
-}
-
-struct TestWorker {
-    addr: String,
-    handle: dice_fabric::WorkerHandle,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl TestWorker {
-    fn boot(cache: PathBuf) -> Self {
-        let worker = Worker::bind(WorkerConfig {
-            net: NetConfig {
-                port: 0,
-                conn_workers: 2,
-                conn_backlog: 16,
-            },
-            runner: RunnerConfig {
-                jobs: 1,
-                cache_dir: Some(cache),
-                ..RunnerConfig::default()
-            },
-            inject: None,
-        })
-        .expect("bind worker");
-        let addr = worker.local_addr().expect("worker addr").to_string();
-        let handle = worker.handle();
-        let thread = std::thread::spawn(move || worker.run().expect("worker run"));
-        TestWorker {
-            addr,
-            handle,
-            thread: Some(thread),
-        }
-    }
-}
-
-impl Drop for TestWorker {
-    fn drop(&mut self) {
-        self.handle.drain();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-struct TestCoordinator {
-    addr: String,
-    handle: CoordinatorHandle,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl TestCoordinator {
-    fn boot(workers: &[&TestWorker], journal: PathBuf) -> Self {
-        let coordinator = Coordinator::bind(CoordinatorConfig {
-            net: NetConfig {
-                port: 0,
-                conn_workers: 4,
-                conn_backlog: 16,
-            },
-            workers: workers.iter().map(|w| w.addr.clone()).collect(),
-            backoff: Duration::from_millis(10),
-            cell_timeout: Duration::from_secs(30),
-            journal: Some(journal),
-            ..CoordinatorConfig::default()
-        })
-        .expect("bind coordinator");
-        let addr = coordinator
-            .local_addr()
-            .expect("coordinator addr")
-            .to_string();
-        let handle = coordinator.handle();
-        let thread = std::thread::spawn(move || coordinator.run().expect("coordinator run"));
-        TestCoordinator {
-            addr,
-            handle,
-            thread: Some(thread),
-        }
-    }
-
-    fn shutdown(mut self) {
-        self.handle.drain();
-        if let Some(thread) = self.thread.take() {
-            thread.join().expect("coordinator thread");
-        }
-    }
-}
-
-impl Drop for TestCoordinator {
-    fn drop(&mut self) {
-        self.handle.drain();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-/// Polls `GET /v1/sweeps/:id` to `done`; returns the report bytes.
+/// Waits on the sweep's event stream to `done`; returns the report bytes.
 fn await_report(addr: &str, id: &str, budget: Duration) -> String {
-    let deadline = Instant::now() + budget;
-    loop {
-        let status = http_get(addr, &format!("/v1/sweeps/{id}")).expect("GET status");
-        assert_eq!(status.status, 200, "status body: {}", status.text());
-        let doc = Json::parse(&status.text()).expect("status JSON");
-        match doc.get("state").and_then(Json::as_str) {
-            Some("done") => break,
-            Some("failed") => panic!("sweep failed: {}", status.text()),
-            _ => {
-                assert!(Instant::now() < deadline, "sweep never finished");
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
+    let end = wait_sweep_end(addr, id, budget).expect("sweep finished within budget");
+    assert_eq!(end.as_deref(), Some("done"));
     let report = http_get(addr, &format!("/v1/sweeps/{id}/report")).expect("GET report");
     assert_eq!(report.status, 200);
     report.text()
@@ -231,9 +97,12 @@ fn planted_journal_resumes_only_missing_cells() {
     // A coordinator bound on that journal resumes the sweep without any
     // POST: the job is queryable immediately and completes the two
     // missing cells on the live workers.
-    let w0 = TestWorker::boot(scratch("plant-w0"));
-    let w1 = TestWorker::boot(scratch("plant-w1"));
-    let coordinator = TestCoordinator::boot(&[&w0, &w1], journal_path.clone());
+    let w0 = TestWorker::boot(scratch("plant-w0"), None);
+    let w1 = TestWorker::boot(scratch("plant-w1"), None);
+    let coordinator = TestCoordinator::start(CoordinatorConfig {
+        journal: Some(journal_path.clone()),
+        ..TestCoordinator::config(&[&w0, &w1])
+    });
     let report = await_report(&coordinator.addr, &id_text, Duration::from_secs(60));
     assert_eq!(report, direct, "resumed report diverged from direct run");
     assert_eq!(
@@ -293,8 +162,11 @@ fn finished_sweeps_are_not_resurrected() {
             })
             .expect("append done");
     }
-    let worker = TestWorker::boot(scratch("done-w0"));
-    let coordinator = TestCoordinator::boot(&[&worker], journal_path);
+    let worker = TestWorker::boot(scratch("done-w0"), None);
+    let coordinator = TestCoordinator::start(CoordinatorConfig {
+        journal: Some(journal_path),
+        ..TestCoordinator::config(&[&worker])
+    });
     let resp = http_get(&coordinator.addr, &format!("/v1/sweeps/{id:016x}")).expect("GET status");
     assert_eq!(resp.status, 404, "finished sweep was resumed");
     coordinator.shutdown();
@@ -334,6 +206,25 @@ fn spawn_coordinator(
     (child, addr)
 }
 
+/// Whether the journal bytes hold one whole cell record (frames are
+/// `magic u32 | len u32 | fnv1a64 | payload`). Seeing a record's first
+/// bytes is not enough: cell records span several pages, so a SIGKILL
+/// mid-write leaves a torn tail that recovery rightly drops.
+fn holds_whole_cell_record(bytes: &[u8]) -> bool {
+    let mut offset = 0;
+    while let Some(header) = bytes.get(offset..offset + 16) {
+        let len = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes")) as usize;
+        let Some(payload) = bytes.get(offset + 16..offset + 16 + len) else {
+            return false;
+        };
+        if payload.starts_with(b"{\"record\":\"cell\"") {
+            return true;
+        }
+        offset += 16 + len;
+    }
+    false
+}
+
 #[test]
 fn sigkilled_coordinator_resumes_to_byte_identical_report() {
     let spec = slow_spec_text(33);
@@ -343,8 +234,8 @@ fn sigkilled_coordinator_resumes_to_byte_identical_report() {
     // Workers are in-process so they survive the coordinator's death —
     // exactly the production topology, where only the coordinator host
     // reboots.
-    let w0 = TestWorker::boot(scratch("kill-w0"));
-    let w1 = TestWorker::boot(scratch("kill-w1"));
+    let w0 = TestWorker::boot(scratch("kill-w0"), None);
+    let w1 = TestWorker::boot(scratch("kill-w1"), None);
 
     let (mut child, addr) = spawn_coordinator(&[&w0, &w1], &journal_path);
     let resp = http_post(&addr, "/v1/sweeps", &spec).expect("POST sweep");
@@ -362,10 +253,7 @@ fn sigkilled_coordinator_resumes_to_byte_identical_report() {
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         let bytes = std::fs::read(&journal_path).unwrap_or_default();
-        if bytes
-            .windows(b"\"record\":\"cell\"".len())
-            .any(|w| w == b"\"record\":\"cell\"")
-        {
+        if holds_whole_cell_record(&bytes) {
             break;
         }
         assert!(Instant::now() < deadline, "no cell ever journaled");

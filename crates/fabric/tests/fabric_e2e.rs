@@ -7,152 +7,17 @@
 //! gathered report must equal, byte for byte, what a direct single-node
 //! `dice-runner` invocation of the same spec renders.
 
-use std::path::PathBuf;
+mod common;
+
 use std::time::{Duration, Instant};
 
+use common::{direct_report, scratch, spec_text, TestCoordinator, TestWorker};
 use dice_core::FaultKind;
-use dice_fabric::{Coordinator, CoordinatorConfig, CoordinatorHandle, Worker, WorkerConfig};
 use dice_obs::Json;
-use dice_runner::{Runner, RunnerConfig};
-use dice_serve::net::NetConfig;
-use dice_serve::{http_get, http_post, render_runs, sse_data_lines, SweepSpec};
+use dice_serve::{http_get, http_post, sse_data_lines, wait_sweep_end, SweepSpec};
 
-/// A fresh scratch directory under the system temp dir.
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("dice-fabric-e2e-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
-}
-
-/// The spec under test: 2 orgs x 2 workloads = 4 cells, small enough to
-/// finish in well under a second per cell.
-fn spec_text(seed: u64) -> String {
-    format!(
-        r#"{{"orgs":["base","dice36"],"workloads":["gcc","mcf"],"scale":4096,"warmup":50,"measure":150,"seed":{seed}}}"#
-    )
-}
-
-/// What a direct single-node `dice-runner` invocation renders for `spec`.
-fn direct_report(spec: &str, cache: PathBuf) -> String {
-    let spec = SweepSpec::parse(spec).expect("valid spec");
-    let runner = Runner::new(RunnerConfig {
-        jobs: 2,
-        cache_dir: Some(cache),
-        ..RunnerConfig::default()
-    })
-    .expect("runner");
-    render_runs(&runner.run(spec.to_cells())).render()
-}
-
-struct TestWorker {
-    addr: String,
-    handle: dice_fabric::WorkerHandle,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl TestWorker {
-    fn boot(cache: PathBuf, inject: Option<FaultKind>) -> Self {
-        let worker = Worker::bind(WorkerConfig {
-            net: NetConfig {
-                port: 0,
-                conn_workers: 2,
-                conn_backlog: 16,
-            },
-            runner: RunnerConfig {
-                jobs: 1,
-                cache_dir: Some(cache),
-                ..RunnerConfig::default()
-            },
-            inject,
-        })
-        .expect("bind worker");
-        let addr = worker.local_addr().expect("worker addr").to_string();
-        let handle = worker.handle();
-        let thread = std::thread::spawn(move || worker.run().expect("worker run"));
-        TestWorker {
-            addr,
-            handle,
-            thread: Some(thread),
-        }
-    }
-
-    /// Stops the worker and waits for its listener to close, so later
-    /// dispatches to its address fail at connect time.
-    fn kill(mut self) {
-        self.handle.drain();
-        if let Some(thread) = self.thread.take() {
-            thread.join().expect("worker thread");
-        }
-    }
-}
-
-impl Drop for TestWorker {
-    fn drop(&mut self) {
-        self.handle.drain();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-struct TestCoordinator {
-    addr: String,
-    handle: CoordinatorHandle,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl TestCoordinator {
-    fn boot(workers: &[&TestWorker]) -> Self {
-        let coordinator = Coordinator::bind(CoordinatorConfig {
-            net: NetConfig {
-                port: 0,
-                conn_workers: 4,
-                conn_backlog: 16,
-            },
-            workers: workers.iter().map(|w| w.addr.clone()).collect(),
-            backoff: Duration::from_millis(10),
-            cell_timeout: Duration::from_secs(30),
-            ..CoordinatorConfig::default()
-        })
-        .expect("bind coordinator");
-        let addr = coordinator
-            .local_addr()
-            .expect("coordinator addr")
-            .to_string();
-        let handle = coordinator.handle();
-        let thread = std::thread::spawn(move || coordinator.run().expect("coordinator run"));
-        TestCoordinator {
-            addr,
-            handle,
-            thread: Some(thread),
-        }
-    }
-
-    fn membership(&self) -> Json {
-        let resp = http_get(&self.addr, "/v1/fabric/membership").expect("GET membership");
-        assert_eq!(resp.status, 200);
-        Json::parse(&resp.text()).expect("membership JSON")
-    }
-
-    fn shutdown(mut self) {
-        self.handle.drain();
-        if let Some(thread) = self.thread.take() {
-            thread.join().expect("coordinator thread");
-        }
-    }
-}
-
-impl Drop for TestCoordinator {
-    fn drop(&mut self) {
-        self.handle.drain();
-        if let Some(thread) = self.thread.take() {
-            let _ = thread.join();
-        }
-    }
-}
-
-/// Submits a sweep and polls it to `done`; returns (id, report bytes).
+/// Submits a sweep and waits on its event stream to `done`; returns
+/// (id, report bytes).
 fn run_sweep(addr: &str, spec: &str) -> (String, String) {
     let resp = http_post(addr, "/v1/sweeps", spec).expect("POST sweep");
     assert_eq!(resp.status, 202, "submit body: {}", resp.text());
@@ -162,20 +27,8 @@ fn run_sweep(addr: &str, spec: &str) -> (String, String) {
         .and_then(Json::as_str)
         .expect("job id")
         .to_owned();
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let status = http_get(addr, &format!("/v1/sweeps/{id}")).expect("GET status");
-        assert_eq!(status.status, 200);
-        let doc = Json::parse(&status.text()).expect("status JSON");
-        match doc.get("state").and_then(Json::as_str) {
-            Some("done") => break,
-            Some("failed") => panic!("sweep failed: {}", status.text()),
-            _ => {
-                assert!(Instant::now() < deadline, "sweep never finished");
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
+    let end = wait_sweep_end(addr, &id, Duration::from_secs(60)).expect("sweep finished");
+    assert_eq!(end.as_deref(), Some("done"));
     let report = http_get(addr, &format!("/v1/sweeps/{id}/report")).expect("GET report");
     assert_eq!(report.status, 200);
     (id, report.text())
@@ -404,15 +257,9 @@ fn identical_specs_coalesce_and_draining_rejects() {
         std::thread::sleep(Duration::from_millis(10));
     }
     coordinator.handle.drain();
-    // The accept loop may take a beat to observe the flag; the listener
-    // closes once it does, after which submissions fail at the socket.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        match http_post(&coordinator.addr, "/v1/sweeps", &spec_text(17)) {
-            Ok(resp) if resp.status == 503 => break,
-            Ok(_) | Err(_) if Instant::now() >= deadline => break,
-            Ok(_) => std::thread::sleep(Duration::from_millis(5)),
-            Err(_) => break,
-        }
+    // The flag is set before drain() returns: a submission now gets 503,
+    // or fails at the socket once the woken accept loop has exited.
+    if let Ok(resp) = http_post(&coordinator.addr, "/v1/sweeps", &spec_text(17)) {
+        assert_eq!(resp.status, 503, "submit during drain: {}", resp.text());
     }
 }

@@ -45,7 +45,9 @@ use std::time::{Duration, Instant, SystemTime};
 
 use dice_obs::{validate_chrome_trace, Json};
 use dice_runner::{Runner, RunnerConfig};
-use dice_serve::{http_get, http_post, render_runs, validate_prometheus, SweepSpec};
+use dice_serve::{
+    http_get, http_post, render_runs, validate_prometheus, wait_sweep_end, SweepSpec,
+};
 
 struct Args {
     url: Option<String>,
@@ -190,18 +192,19 @@ fn submit_and_wait(addr: &str, spec_text: &str) -> Result<(String, String, bool)
         .to_owned();
     let coalesced = body.get("coalesced") == Some(&Json::Bool(true));
 
-    let deadline = Instant::now() + Duration::from_secs(120);
-    loop {
-        let status =
-            http_get(addr, &format!("/v1/sweeps/{id}")).map_err(|e| format!("GET status: {e}"))?;
-        let doc = Json::parse(&status.text()).map_err(|e| format!("status response: {e}"))?;
-        match doc.get("state").and_then(Json::as_str) {
-            Some("done") => break,
-            Some("failed") => return Err(format!("sweep failed: {}", status.text())),
-            Some("cancelled") => return Err("sweep cancelled".to_owned()),
-            _ if Instant::now() > deadline => return Err("sweep timed out".to_owned()),
-            _ => std::thread::sleep(Duration::from_millis(10)),
+    let end = match wait_sweep_end(addr, &id, Duration::from_secs(120)) {
+        Err(e) if e.kind() == std::io::ErrorKind::TimedOut => return Err("sweep timed out".into()),
+        end => end.map_err(|e| format!("GET events: {e}"))?,
+    };
+    match end.as_deref() {
+        Some("done") => {}
+        Some("failed") => {
+            let status = http_get(addr, &format!("/v1/sweeps/{id}"))
+                .map_err(|e| format!("GET status: {e}"))?;
+            return Err(format!("sweep failed: {}", status.text()));
         }
+        Some("cancelled") => return Err("sweep cancelled".to_owned()),
+        _ => return Err("event stream ended without an end record".to_owned()),
     }
     let report = http_get(addr, &format!("/v1/sweeps/{id}/report"))
         .map_err(|e| format!("GET report: {e}"))?;

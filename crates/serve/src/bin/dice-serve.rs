@@ -112,9 +112,6 @@ fn main() {
     let handle = server.handle();
     std::thread::spawn(move || watch_signals(handle));
 
-    if let Err(e) = server.run() {
-        eprintln!("dice-serve: {e}");
-        std::process::exit(1);
-    }
+    server.run();
     let _ = writeln!(std::io::stdout(), "dice-serve drained cleanly");
 }

@@ -6,11 +6,14 @@
 //! chunked-body decoding are shared with the server codec in
 //! [`crate::http`] rather than duplicated here.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+use dice_obs::Json;
 
 use crate::http::{read_chunked_body, read_header_lines};
+use crate::sse::sse_data_lines;
 
 /// Default socket read/write timeout for client requests.
 pub const DEFAULT_TIMEOUT: Duration = Duration::from_secs(30);
@@ -59,6 +62,34 @@ pub fn http_get(addr: &str, path: &str) -> io::Result<ClientResponse> {
 /// Propagates connect/transport failures and malformed responses.
 pub fn http_post(addr: &str, path: &str, body: &str) -> io::Result<ClientResponse> {
     request(addr, "POST", path, Some(body), DEFAULT_TIMEOUT)
+}
+
+/// Follows `GET /v1/sweeps/:id/events` until the stream closes and
+/// returns the state its final `end` record names (`done`, `failed`,
+/// `cancelled`), or `None` if the stream closed without one.
+///
+/// # Errors
+///
+/// [`io::ErrorKind::TimedOut`] if the stream is still open after
+/// `budget`; otherwise propagates connect/transport failures and
+/// malformed responses.
+pub fn wait_sweep_end(addr: &str, id: &str, budget: Duration) -> io::Result<Option<String>> {
+    let stream = send(
+        addr,
+        "GET",
+        &format!("/v1/sweeps/{id}/events"),
+        None,
+        budget,
+    )?;
+    let at = Instant::now() + budget;
+    let events = read_response(&mut BufReader::new(Deadline { stream, at }))?;
+    let last = sse_data_lines(&events.text()).pop();
+    Ok(last.and_then(|line| {
+        let end = Json::parse(&line)
+            .ok()
+            .filter(|doc| doc.get("event").and_then(Json::as_str) == Some("end"))?;
+        Some(end.get("state")?.as_str()?.to_owned())
+    }))
 }
 
 /// `GET path` with an explicit socket timeout (connect, read and write).
@@ -186,6 +217,27 @@ pub fn http_probe(
     read_response(&mut BufReader::new(stream)).map_err(classify_read)
 }
 
+/// A stream whose reads fail with [`io::ErrorKind::TimedOut`] once the
+/// wall-clock deadline `at` passes, however the bytes trickle in.
+struct Deadline {
+    stream: TcpStream,
+    at: Instant,
+}
+
+impl Read for Deadline {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.at.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf).map_err(|e| match e.kind() {
+            io::ErrorKind::WouldBlock => io::ErrorKind::TimedOut.into(),
+            _ => e,
+        })
+    }
+}
+
 fn request(
     addr: &str,
     method: &str,
@@ -193,6 +245,18 @@ fn request(
     body: Option<&str>,
     timeout: Duration,
 ) -> io::Result<ClientResponse> {
+    let stream = send(addr, method, path, body, timeout)?;
+    read_response(&mut BufReader::new(stream))
+}
+
+/// Connects and writes one request; the response is left unread.
+fn send(
+    addr: &str,
+    method: &str,
+    path: &str,
+    body: Option<&str>,
+    timeout: Duration,
+) -> io::Result<TcpStream> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
@@ -209,7 +273,7 @@ fn request(
         },
     )?;
     stream.flush()?;
-    read_response(&mut BufReader::new(stream))
+    Ok(stream)
 }
 
 fn malformed(msg: &'static str) -> io::Error {

@@ -207,6 +207,19 @@ impl Response {
         }
     }
 
+    /// `200` with the Prometheus text exposition (format 0.0.4) of
+    /// `metrics`, locked only while rendering.
+    #[must_use]
+    pub fn prometheus(metrics: &std::sync::Mutex<dice_obs::MetricRegistry>) -> Response {
+        let body = dice_obs::render_prometheus(&metrics.lock().expect("metrics poisoned"));
+        Response {
+            status: 200,
+            content_type: "text/plain; version=0.0.4; charset=utf-8",
+            extra: Vec::new(),
+            body: body.into_bytes(),
+        }
+    }
+
     /// A JSON error envelope (`{"error": "..."}`).
     #[must_use]
     pub fn error(status: u16, msg: &str) -> Response {

@@ -18,16 +18,22 @@
 //!   [`JobQueue::force_cancel`] additionally flips the cooperative
 //!   [`RunnerConfig::cancel`] flag so in-flight sweeps stop claiming
 //!   cells.
+//! * **Event waits** — every event push and state change (and
+//!   [`JobQueue::drain`]) notifies one `Condvar` paired with the job-table
+//!   mutex, so [`JobQueue::wait_events`] (the SSE stream's wait) blocks
+//!   until its job changes instead of polling.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use dice_obs::{merge_chrome, Json, MetricRegistry, TraceCtx};
 use dice_runner::{Cell, CellProgress, ProgressSink, Runner, RunnerConfig};
 
 use crate::spec::{render_runs, sweep_key, SweepSpec};
+use crate::sse::{wait_events, EventsSince};
 
 /// Where one job stands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,6 +62,16 @@ impl JobState {
             JobState::Cancelled => "cancelled",
         }
     }
+
+    /// Whether the job has finished for good (done, failed or
+    /// cancelled): its event log is complete.
+    #[must_use]
+    pub fn is_terminal(self) -> bool {
+        matches!(
+            self,
+            JobState::Done | JobState::Failed | JobState::Cancelled
+        )
+    }
 }
 
 /// One tracked sweep job.
@@ -72,11 +88,27 @@ struct Job {
     /// Identical submissions that attached to this job after the first.
     coalesced: u64,
     /// Per-cell progress events (rendered JSON objects), appended in
-    /// completion order while the sweep runs. SSE readers poll these via
-    /// [`JobQueue::poll_events`].
+    /// completion order while the sweep runs. SSE readers wait on these
+    /// via [`JobQueue::wait_events`].
     events: Vec<Arc<String>>,
     /// Merged Chrome `trace_event` document once [`JobState::Done`].
     trace: Option<Arc<String>>,
+}
+
+impl Job {
+    fn queued(spec: SweepSpec, cells: usize) -> Job {
+        Job {
+            spec,
+            cells,
+            state: JobState::Queued,
+            body: None,
+            error: None,
+            summary: None,
+            coalesced: 0,
+            events: Vec::new(),
+            trace: None,
+        }
+    }
 }
 
 /// Outcome of [`JobQueue::submit`].
@@ -132,9 +164,29 @@ struct Inner {
 struct Shared {
     inner: Mutex<Inner>,
     work_ready: Condvar,
+    /// Paired with `inner`; notified on every event push, state change
+    /// and drain.
+    job_changed: Condvar,
     draining: AtomicBool,
     cancel: Arc<AtomicBool>,
     metrics: Arc<Mutex<MetricRegistry>>,
+}
+
+impl Shared {
+    /// Mutates the job table, then wakes every event waiter.
+    fn update<R>(&self, f: impl FnOnce(&mut Inner) -> R) -> R {
+        let r = f(&mut self.inner.lock().expect("job queue poisoned"));
+        self.job_changed.notify_all();
+        r
+    }
+
+    fn push_event(&self, id: u64, event: String) {
+        self.update(|inner| {
+            if let Some(job) = inner.jobs.get_mut(&id) {
+                job.events.push(Arc::new(event));
+            }
+        });
+    }
 }
 
 /// The job queue. Cheap to share via `Arc`; see the module docs for the
@@ -159,6 +211,7 @@ impl JobQueue {
                 active: 0,
             }),
             work_ready: Condvar::new(),
+            job_changed: Condvar::new(),
             draining: AtomicBool::new(false),
             cancel,
             metrics,
@@ -205,20 +258,7 @@ impl JobQueue {
             self.count("serve.sweeps_rejected");
             return Submission::Overloaded { retry_after_s: 1 };
         }
-        inner.jobs.insert(
-            id,
-            Job {
-                cells: cells.len(),
-                spec,
-                state: JobState::Queued,
-                body: None,
-                error: None,
-                summary: None,
-                coalesced: 0,
-                events: Vec::new(),
-                trace: None,
-            },
-        );
+        inner.jobs.insert(id, Job::queued(spec, cells.len()));
         inner.queue.push_back(id);
         drop(inner);
         self.count("serve.sweeps_submitted");
@@ -266,16 +306,21 @@ impl JobQueue {
     /// Progress events for job `id` from index `cursor` on, plus the
     /// job's state at the moment of the read (events and state are read
     /// atomically, so a terminal state means the returned slice completes
-    /// the stream). `None` if the job is unknown.
+    /// the stream). Blocks up to `timeout` while the job has no events
+    /// past `cursor` and is not terminal. `None` if the job is unknown.
     #[must_use]
-    pub fn poll_events(&self, id: u64, cursor: usize) -> Option<(Vec<Arc<String>>, JobState)> {
-        let inner = self.shared.inner.lock().expect("job queue poisoned");
-        let job = inner.jobs.get(&id)?;
-        let events = match job.events.get(cursor..) {
-            Some(rest) => rest.to_vec(),
-            None => Vec::new(),
-        };
-        Some((events, job.state))
+    pub fn wait_events(&self, id: u64, cursor: usize, timeout: Duration) -> Option<EventsSince> {
+        let shared = &self.shared;
+        wait_events(
+            &shared.inner,
+            &shared.job_changed,
+            cursor,
+            timeout,
+            |inner| {
+                let job = inner.jobs.get(&id)?;
+                Some((job.events.as_slice(), job.state))
+            },
+        )
     }
 
     /// The merged Chrome trace for job `id`: `Ok(body)` once done,
@@ -294,13 +339,13 @@ impl JobQueue {
     /// Running sweeps finish normally; call [`JobQueue::join`] to wait.
     pub fn drain(&self) {
         self.shared.draining.store(true, Ordering::SeqCst);
-        let mut inner = self.shared.inner.lock().expect("job queue poisoned");
-        while let Some(id) = inner.queue.pop_front() {
-            if let Some(job) = inner.jobs.get_mut(&id) {
-                job.state = JobState::Cancelled;
+        self.shared.update(|inner| {
+            while let Some(id) = inner.queue.pop_front() {
+                if let Some(job) = inner.jobs.get_mut(&id) {
+                    job.state = JobState::Cancelled;
+                }
             }
-        }
-        drop(inner);
+        });
         self.shared.work_ready.notify_all();
     }
 
@@ -348,25 +393,27 @@ fn worker_loop(shared: &Arc<Shared>, runner_cfg: &RunnerConfig) {
                 inner = shared.work_ready.wait(inner).expect("job queue poisoned");
             }
         };
+        shared.job_changed.notify_all();
 
         let finished = run_sweep(shared, runner_cfg, id, cells);
 
-        let mut inner = shared.inner.lock().expect("job queue poisoned");
-        inner.active -= 1;
-        if let Some(job) = inner.jobs.get_mut(&id) {
-            match finished {
-                Ok((body, summary, trace)) => {
-                    job.state = JobState::Done;
-                    job.body = Some(Arc::new(body));
-                    job.summary = Some(summary);
-                    job.trace = Some(Arc::new(trace));
-                }
-                Err(error) => {
-                    job.state = JobState::Failed;
-                    job.error = Some(error);
+        shared.update(|inner| {
+            inner.active -= 1;
+            if let Some(job) = inner.jobs.get_mut(&id) {
+                match finished {
+                    Ok((body, summary, trace)) => {
+                        job.state = JobState::Done;
+                        job.body = Some(Arc::new(body));
+                        job.summary = Some(summary);
+                        job.trace = Some(Arc::new(trace));
+                    }
+                    Err(error) => {
+                        job.state = JobState::Failed;
+                        job.error = Some(error);
+                    }
                 }
             }
-        }
+        });
     }
 }
 
@@ -407,11 +454,7 @@ fn run_sweep(
     cfg.trace_parent = Some(root.id());
     let sink_shared = Arc::clone(shared);
     cfg.progress = Some(ProgressSink::new(move |p: CellProgress| {
-        let event = render_event(&p);
-        let mut inner = sink_shared.inner.lock().expect("job queue poisoned");
-        if let Some(job) = inner.jobs.get_mut(&job_id) {
-            job.events.push(Arc::new(event));
-        }
+        sink_shared.push_event(job_id, render_event(&p));
     }));
     let runner = Runner::new(cfg).map_err(|e| format!("runner setup: {e}"))?;
     let started = std::time::Instant::now();
@@ -455,14 +498,11 @@ mod tests {
     }
 
     fn wait_done(q: &JobQueue, id: u64) -> Arc<String> {
-        for _ in 0..2_000 {
-            match q.report(id) {
-                Some(Ok(body)) => return body,
-                Some(Err(JobState::Failed)) => panic!("job failed"),
-                _ => std::thread::sleep(std::time::Duration::from_millis(5)),
-            }
-        }
-        panic!("job {id:016x} never finished");
+        let (_, state) = q
+            .wait_events(id, usize::MAX, Duration::from_secs(60))
+            .expect("known");
+        assert_eq!(state, JobState::Done, "job {id:016x} did not finish");
+        q.report(id).expect("known job").expect("done")
     }
 
     #[test]
@@ -493,7 +533,7 @@ mod tests {
         wait_done(&q, id);
 
         // One event per cell, seq 1..=total, each a valid JSON object.
-        let (events, state) = q.poll_events(id, 0).expect("known job");
+        let (events, state) = q.wait_events(id, 0, Duration::ZERO).expect("known job");
         assert_eq!(state, JobState::Done);
         assert_eq!(events.len(), 2);
         for (i, ev) in events.iter().enumerate() {
@@ -504,9 +544,11 @@ mod tests {
             assert_eq!(doc.get("status").and_then(Json::as_str), Some("simulated"));
         }
         // Cursor past the end yields nothing more.
-        let (rest, _) = q.poll_events(id, events.len()).expect("known job");
+        let (rest, _) = q
+            .wait_events(id, events.len(), Duration::ZERO)
+            .expect("known job");
         assert!(rest.is_empty());
-        assert!(q.poll_events(0xdead, 0).is_none());
+        assert!(q.wait_events(0xdead, 0, Duration::ZERO).is_none());
 
         // The trace is a valid Chrome document forming one tree: a sweep
         // root, a cell span per cell, and phase spans under each cell.
@@ -601,5 +643,62 @@ mod tests {
                 assert!(q.report(id).expect("known").is_ok());
             }
         }
+    }
+
+    /// Adds a queued job that no worker will pick up unless it is
+    /// `enqueued` (and then only once woken), so it stays queued until
+    /// the test changes it or drain cancels it.
+    fn park(q: &JobQueue, seed: u64, enqueued: bool) -> u64 {
+        let spec = tiny_spec(seed);
+        let cells = spec.to_cells();
+        let id = sweep_key(&cells);
+        let mut inner = q.shared.inner.lock().expect("job queue poisoned");
+        inner.jobs.insert(id, Job::queued(spec, cells.len()));
+        if enqueued {
+            inner.queue.push_back(id);
+        }
+        id
+    }
+
+    /// Blocks a waiter on job `id` with a 30 s timeout, applies `change`
+    /// once it is parked, and returns what the waiter saw. Fails unless
+    /// the waiter returned promptly.
+    fn wake_with(q: &Arc<JobQueue>, id: u64, change: impl FnOnce()) -> EventsSince {
+        let waiter = {
+            let q = Arc::clone(q);
+            std::thread::spawn(move || {
+                let started = std::time::Instant::now();
+                let seen = q.wait_events(id, 0, Duration::from_secs(30));
+                (seen, started.elapsed())
+            })
+        };
+        std::thread::sleep(Duration::from_millis(100));
+        change();
+        let (seen, waited) = waiter.join().expect("waiter");
+        assert!(waited < Duration::from_secs(5), "waiter slept {waited:?}");
+        seen.expect("known job")
+    }
+
+    #[test]
+    fn blocked_waiters_wake_on_event_push_terminal_state_and_drain() {
+        let q = queue(4);
+        let (pushed, failed) = (park(&q, 40, false), park(&q, 41, false));
+
+        let (events, state) = wake_with(&q, pushed, || q.shared.push_event(pushed, "{}".into()));
+        assert_eq!((events.len(), state), (1, JobState::Queued));
+
+        let (events, state) = wake_with(&q, failed, || {
+            q.shared.update(|inner| {
+                inner.jobs.get_mut(&failed).expect("parked").state = JobState::Failed;
+            });
+        });
+        assert_eq!((events.len(), state), (0, JobState::Failed));
+
+        // By now the worker has long been blocked on the empty queue, so
+        // this job stays queued until drain cancels it.
+        let drained = park(&q, 42, true);
+        let (events, state) = wake_with(&q, drained, || q.drain());
+        assert_eq!((events.len(), state), (0, JobState::Cancelled));
+        q.join();
     }
 }

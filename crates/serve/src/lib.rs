@@ -41,11 +41,11 @@ pub mod spec;
 pub mod sse;
 
 pub use client::{
-    http_get, http_get_timeout, http_post, http_post_timeout, http_probe, ClientResponse,
-    ProbeError,
+    http_get, http_get_timeout, http_post, http_post_timeout, http_probe, wait_sweep_end,
+    ClientResponse, ProbeError,
 };
 pub use jobs::{JobQueue, JobQueueConfig, JobState, Submission};
-pub use net::{Handled, NetConfig, NetServer};
+pub use net::{DrainHandle, Handled, NetConfig, NetMetrics, NetServer};
 pub use promcheck::validate_prometheus;
 pub use server::{Handle, ServeConfig, Server};
 pub use spec::{render_runs, sweep_key, SpecError, SweepSpec};

@@ -1,19 +1,26 @@
 //! A reusable HTTP/1.1 accept-pool server shell.
 //!
-//! `dice-serve` and the `dice-fabric` nodes share one threading model: a
-//! nonblocking accept loop hands sockets to a fixed pool of connection
-//! workers over a bounded channel, a full channel answers `503` inline
-//! (connections never pile up unbounded), and a drain flag stops the
-//! accept loop while parked connections finish. [`NetServer`] owns that
-//! machinery; services supply a [`NetHandler`] for routing, plus optional
-//! observers for per-request metrics and accept-loop events.
+//! `dice-serve` and the `dice-fabric` nodes share one threading model: an
+//! accept loop blocked in `accept` hands sockets to a fixed pool of
+//! connection workers over a bounded channel, a full channel answers
+//! `503` inline (connections never pile up unbounded), and a
+//! [`DrainHandle`] stops the accept loop while parked connections finish.
+//! The handle sets its flag and then makes one loopback connection to the
+//! listener, so the blocked `accept` returns and sees the flag; that
+//! wake-up connection is dropped, never handled. [`NetServer`] owns that
+//! machinery, including the per-request and accept-loop metrics; services
+//! supply a [`NetHandler`] for routing. The `dice-chaos` proxy reuses the
+//! bare loop, [`accept_until_drained`].
 
 use std::io::{self, BufReader};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+use dice_obs::MetricRegistry;
 
 use crate::http::{read_request, ReadError, Request, Response};
 
@@ -51,16 +58,105 @@ pub enum Handled {
 /// stream their own response ([`Handled::Streamed`]).
 pub type NetHandler = Arc<dyn Fn(&Request, &TcpStream) -> Handled + Send + Sync>;
 
-/// Observes one finished request: status code and handling duration.
-pub type NetObserver = Arc<dyn Fn(u16, Duration) + Send + Sync>;
+/// Where [`NetServer::run`] records its metrics: every name is
+/// `{family}.…` in `registry`.
+#[derive(Clone)]
+pub struct NetMetrics {
+    /// The service's registry (shared with its `/metrics` endpoint).
+    pub registry: Arc<Mutex<MetricRegistry>>,
+    /// Metric name prefix (`serve`, `worker`, `fabric`).
+    pub family: &'static str,
+}
 
-/// Observes accept-loop events (`"conns_rejected"`, `"accept_errors"`).
-pub type NetCounter = Arc<dyn Fn(&'static str) + Send + Sync>;
+impl NetMetrics {
+    fn count(&self, event: &str) {
+        let mut reg = self.registry.lock().expect("metrics poisoned");
+        let id = reg.counter(&format!("{}.{event}", self.family));
+        reg.inc(id);
+    }
 
-/// The accept-pool shell: listener + drain flag + worker pool.
+    /// One finished request: `http_requests`, its status class and the
+    /// `request_micros` histogram.
+    fn request(&self, status: u16, elapsed: Duration) {
+        let class = match status {
+            200..=299 => "http_2xx",
+            400..=499 => "http_4xx",
+            _ => "http_5xx",
+        };
+        let mut reg = self.registry.lock().expect("metrics poisoned");
+        for event in ["http_requests", class] {
+            let id = reg.counter(&format!("{}.{event}", self.family));
+            reg.inc(id);
+        }
+        let hist = reg.histogram(&format!("{}.request_micros", self.family));
+        reg.observe(hist, elapsed.as_micros() as u64);
+    }
+}
+
+/// Stops an [`accept_until_drained`] loop from any thread. Cheap to
+/// clone; every clone drains the same listener.
+#[derive(Clone)]
+pub struct DrainHandle {
+    flag: Arc<AtomicBool>,
+    addr: SocketAddr,
+}
+
+impl DrainHandle {
+    /// A handle for the accept loop on `listener`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the socket query failure.
+    pub fn for_listener(listener: &TcpListener) -> io::Result<DrainHandle> {
+        Ok(DrainHandle {
+            flag: Arc::new(AtomicBool::new(false)),
+            addr: listener.local_addr()?,
+        })
+    }
+
+    /// Sets the drain flag, then wakes the blocked `accept` with one
+    /// loopback connection. A listener that is already gone refuses the
+    /// connection, which is fine: its loop has returned.
+    pub fn drain(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
+    }
+
+    /// Whether [`DrainHandle::drain`] has been called.
+    #[must_use]
+    pub fn is_draining(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+}
+
+/// Blocks in `accept` until `drain` fires, handing each accepted
+/// connection to `on_conn` (which may stop the loop early with
+/// [`ControlFlow::Break`]) and each accept error to `on_error`. The flag
+/// is re-checked after every accept, so the drain handle's wake-up
+/// connection is dropped here and never reaches `on_conn`.
+pub fn accept_until_drained(
+    listener: &TcpListener,
+    drain: &DrainHandle,
+    mut on_conn: impl FnMut(TcpStream) -> ControlFlow<()>,
+    mut on_error: impl FnMut(io::Error),
+) {
+    while !drain.is_draining() {
+        match listener.accept() {
+            Ok(_) if drain.is_draining() => break,
+            Ok((stream, _peer)) => {
+                if on_conn(stream).is_break() {
+                    break;
+                }
+            }
+            Err(e) => on_error(e),
+        }
+    }
+}
+
+/// The accept-pool shell: listener + drain handle + worker pool.
 pub struct NetServer {
     listener: TcpListener,
-    drain: Arc<AtomicBool>,
+    drain: DrainHandle,
     conn_workers: usize,
     conn_backlog: usize,
 }
@@ -74,8 +170,8 @@ impl NetServer {
     pub fn bind(config: &NetConfig) -> io::Result<NetServer> {
         let listener = TcpListener::bind(("127.0.0.1", config.port))?;
         Ok(NetServer {
+            drain: DrainHandle::for_listener(&listener)?,
             listener,
-            drain: Arc::new(AtomicBool::new(false)),
             conn_workers: config.conn_workers.max(1),
             conn_backlog: config.conn_backlog.max(1),
         })
@@ -90,61 +186,47 @@ impl NetServer {
         self.listener.local_addr()
     }
 
-    /// The drain flag: flipping it to `true` stops the accept loop;
+    /// The drain handle: [`DrainHandle::drain`] stops the accept loop;
     /// [`NetServer::run`] then finishes parked connections and returns.
     #[must_use]
-    pub fn drain_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.drain)
+    pub fn drain_handle(&self) -> DrainHandle {
+        self.drain.clone()
     }
 
-    /// Serves until the drain flag flips, then drains: stops accepting,
-    /// finishes parked connections, joins the pool, and returns.
-    ///
-    /// # Errors
-    ///
-    /// Propagates listener configuration failures (accept-time errors on
-    /// individual connections are counted via `count`, not fatal).
-    pub fn run(
-        &self,
-        handler: NetHandler,
-        observe: Option<NetObserver>,
-        count: Option<NetCounter>,
-    ) -> io::Result<()> {
-        self.listener.set_nonblocking(true)?;
+    /// Serves until the drain handle fires, then drains: stops
+    /// accepting, finishes parked connections, joins the pool, and
+    /// returns. Records `{family}.http_requests`, `.http_{2xx,4xx,5xx}`
+    /// and `.request_micros` per request, and `.conns_rejected` /
+    /// `.accept_errors` from the accept loop (accept errors are counted,
+    /// not fatal).
+    pub fn run(&self, handler: NetHandler, metrics: &NetMetrics) {
         let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(self.conn_backlog);
         let rx = Arc::new(Mutex::new(rx));
         let workers: Vec<_> = (0..self.conn_workers)
             .map(|_| {
                 let rx = Arc::clone(&rx);
                 let handler = Arc::clone(&handler);
-                let observe = observe.clone();
-                std::thread::spawn(move || connection_worker(&rx, &handler, observe.as_ref()))
+                let metrics = metrics.clone();
+                std::thread::spawn(move || connection_worker(&rx, &handler, &metrics))
             })
             .collect();
 
-        let tally = |event| {
-            if let Some(count) = &count {
-                count(event);
-            }
-        };
-        while !self.drain.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => match tx.try_send(stream) {
-                    Ok(()) => {}
-                    Err(TrySendError::Full(stream)) => {
-                        // Inline, bounded rejection: never park more than
-                        // `conn_backlog` connections.
-                        reject_busy(stream);
-                        tally("conns_rejected");
-                    }
-                    Err(TrySendError::Disconnected(_)) => break,
-                },
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
+        accept_until_drained(
+            &self.listener,
+            &self.drain,
+            |stream| match tx.try_send(stream) {
+                Ok(()) => ControlFlow::Continue(()),
+                Err(TrySendError::Full(stream)) => {
+                    // Inline, bounded rejection: never park more than
+                    // `conn_backlog` connections.
+                    reject_busy(stream);
+                    metrics.count("conns_rejected");
+                    ControlFlow::Continue(())
                 }
-                Err(_) => tally("accept_errors"),
-            }
-        }
+                Err(TrySendError::Disconnected(_)) => ControlFlow::Break(()),
+            },
+            |_| metrics.count("accept_errors"),
+        );
 
         // Drain: close the channel so workers finish parked connections
         // and exit.
@@ -152,7 +234,6 @@ impl NetServer {
         for worker in workers {
             let _ = worker.join();
         }
-        Ok(())
     }
 }
 
@@ -169,7 +250,7 @@ pub fn reject_busy(stream: TcpStream) {
 fn connection_worker(
     rx: &Arc<Mutex<Receiver<TcpStream>>>,
     handler: &NetHandler,
-    observe: Option<&NetObserver>,
+    metrics: &NetMetrics,
 ) {
     loop {
         // Hold the lock only for the recv; handlers must not serialize on
@@ -181,11 +262,11 @@ fn connection_worker(
         let Ok(stream) = stream else {
             return;
         };
-        handle_connection(stream, handler, observe);
+        handle_connection(stream, handler, metrics);
     }
 }
 
-fn handle_connection(stream: TcpStream, handler: &NetHandler, observe: Option<&NetObserver>) {
+fn handle_connection(stream: TcpStream, handler: &NetHandler, metrics: &NetMetrics) {
     let started = Instant::now();
     let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
@@ -194,11 +275,7 @@ fn handle_connection(stream: TcpStream, handler: &NetHandler, observe: Option<&N
         Ok(s) => s,
         Err(_) => return,
     });
-    let record = |status: u16| {
-        if let Some(observe) = observe {
-            observe(status, started.elapsed());
-        }
-    };
+    let record = |status: u16| metrics.request(status, started.elapsed());
     let response = match read_request(&mut reader) {
         Ok(request) => match handler(&request, &stream) {
             Handled::Respond(response) => response,
@@ -216,4 +293,70 @@ fn handle_connection(stream: TcpStream, handler: &NetHandler, observe: Option<&N
     let mut stream = stream;
     let _ = response.write(&mut stream);
     let _ = stream.shutdown(Shutdown::Both);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn drain_wakes_an_idle_accept_loop_without_handling_the_wakeup() {
+        let server = NetServer::bind(&NetConfig::default()).expect("bind");
+        let drain = server.drain_handle();
+        let handled = Arc::new(AtomicUsize::new(0));
+        let handler: NetHandler = {
+            let handled = Arc::clone(&handled);
+            Arc::new(move |_: &Request, _: &TcpStream| {
+                handled.fetch_add(1, Ordering::SeqCst);
+                Handled::Respond(Response::text(200, "ok\n"))
+            })
+        };
+        let metrics = NetMetrics {
+            registry: Arc::new(Mutex::new(MetricRegistry::new())),
+            family: "test",
+        };
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let runner = {
+            let metrics = metrics.clone();
+            std::thread::spawn(move || {
+                server.run(handler, &metrics);
+                let _ = done_tx.send(());
+            })
+        };
+        // Let the loop block in `accept` before draining.
+        std::thread::sleep(Duration::from_millis(50));
+        drain.drain();
+        done_rx
+            .recv_timeout(Duration::from_secs(1))
+            .expect("run() returned within 1 s of drain");
+        runner.join().expect("accept loop thread");
+        assert_eq!(handled.load(Ordering::SeqCst), 0);
+        // Nothing was counted: no request, no rejection, no accept error.
+        let reg = metrics.registry.lock().expect("metrics");
+        assert_eq!(reg.counters().count(), 0);
+    }
+
+    #[test]
+    fn the_wakeup_connection_never_reaches_on_conn() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let drain = DrainHandle::for_listener(&listener).expect("addr");
+        let waker = drain.clone();
+        let wake = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(50));
+            waker.drain();
+        });
+        let mut conns = 0;
+        accept_until_drained(
+            &listener,
+            &drain,
+            |_| {
+                conns += 1;
+                ControlFlow::Continue(())
+            },
+            |e| panic!("accept failed: {e}"),
+        );
+        wake.join().expect("waker");
+        assert_eq!(conns, 0);
+    }
 }

@@ -1,24 +1,24 @@
 //! The HTTP front end: the shared [`NetServer`] accept pool routing onto
 //! the [`JobQueue`].
 //!
-//! Threading model (see [`crate::net`]): the accept loop runs nonblocking
-//! and hands accepted sockets to a fixed pool of connection workers over
-//! a bounded channel (a full channel answers `503` inline — connections
-//! never pile up unbounded). Sweep execution happens on the job queue's
+//! Threading model (see [`crate::net`]): the accept loop blocks in
+//! `accept` and hands accepted sockets to a fixed pool of connection
+//! workers over a bounded channel (a full channel answers `503` inline —
+//! connections never pile up unbounded); [`Handle::drain`] wakes it with
+//! one loopback connection. Sweep execution happens on the job queue's
 //! own workers, so connection handling stays fast even while simulations
-//! run.
+//! run. Event streams block on the job queue's condition variable
+//! ([`JobQueue::wait_events`]) rather than polling it.
 
 use std::io;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
-use dice_obs::{render_prometheus, Json, MetricRegistry};
+use dice_obs::{Json, MetricRegistry};
 
 use crate::http::{Request, Response};
 use crate::jobs::{JobQueue, JobQueueConfig, JobState, Submission};
-use crate::net::{Handled, NetConfig, NetServer};
+use crate::net::{DrainHandle, Handled, NetConfig, NetMetrics, NetServer};
 use crate::spec::SweepSpec;
 use crate::sse::stream_sse;
 
@@ -50,7 +50,7 @@ impl Default for ServeConfig {
 /// A handle for steering a running server from another thread.
 #[derive(Clone)]
 pub struct Handle {
-    drain: Arc<AtomicBool>,
+    drain: DrainHandle,
     queue: Arc<JobQueue>,
 }
 
@@ -59,7 +59,7 @@ impl Handle {
     /// no worker started, let running sweeps finish. [`Server::run`]
     /// returns once the drain completes.
     pub fn drain(&self) {
-        self.drain.store(true, Ordering::SeqCst);
+        self.drain.drain();
         self.queue.drain();
     }
 
@@ -111,48 +111,30 @@ impl Server {
     #[must_use]
     pub fn handle(&self) -> Handle {
         Handle {
-            drain: self.net.drain_flag(),
+            drain: self.net.drain_handle(),
             queue: Arc::clone(&self.queue),
         }
     }
 
     /// Serves until [`Handle::drain`] is called, then drains: stops
     /// accepting, finishes parked and in-flight work, joins every
-    /// worker, and returns.
-    ///
-    /// # Errors
-    ///
-    /// Propagates listener configuration failures (accept-time errors on
-    /// individual connections are counted, not fatal).
-    pub fn run(&self) -> io::Result<()> {
+    /// worker, and returns. Accept-time errors on individual connections
+    /// are counted, not fatal.
+    pub fn run(&self) {
         let ctx = Arc::new(RouteCtx {
             queue: Arc::clone(&self.queue),
             metrics: Arc::clone(&self.metrics),
         });
-        let handler = {
-            let ctx = Arc::clone(&ctx);
-            Arc::new(move |request: &Request, stream: &TcpStream| handle(request, stream, &ctx))
+        let handler =
+            Arc::new(move |request: &Request, stream: &TcpStream| handle(request, stream, &ctx));
+        let metrics = NetMetrics {
+            registry: Arc::clone(&self.metrics),
+            family: "serve",
         };
-        let observe = {
-            let ctx = Arc::clone(&ctx);
-            Arc::new(move |status: u16, elapsed: Duration| record_request(&ctx, status, elapsed))
-        };
-        let count = {
-            let metrics = Arc::clone(&self.metrics);
-            Arc::new(move |event: &'static str| {
-                let mut reg = metrics.lock().expect("metrics poisoned");
-                let id = reg.counter(match event {
-                    "conns_rejected" => "serve.conns_rejected",
-                    _ => "serve.accept_errors",
-                });
-                reg.inc(id);
-            })
-        };
-        self.net.run(handler, Some(observe), Some(count))?;
+        self.net.run(handler, &metrics);
         // Accept loop has stopped; finish in-flight sweeps.
         self.queue.drain();
         self.queue.join();
-        Ok(())
     }
 }
 
@@ -169,15 +151,8 @@ fn handle(request: &Request, stream: &TcpStream, ctx: &RouteCtx) -> Handled {
     match events_job_id(request) {
         Some(Ok(id)) => {
             let mut out = stream;
-            Handled::Streamed(stream_sse(&mut out, |cursor| {
-                ctx.queue.poll_events(id, cursor).map(|(events, state)| {
-                    let terminal = matches!(
-                        state,
-                        JobState::Done | JobState::Failed | JobState::Cancelled
-                    )
-                    .then(|| state.as_str());
-                    (events, terminal)
-                })
+            Handled::Streamed(stream_sse(&mut out, |cursor, timeout| {
+                ctx.queue.wait_events(id, cursor, timeout)
             }))
         }
         Some(Err(response)) => Handled::Respond(response),
@@ -187,7 +162,8 @@ fn handle(request: &Request, stream: &TcpStream, ctx: &RouteCtx) -> Handled {
 
 /// Recognizes `GET /v1/sweeps/:id/events`. `None` when the request is for
 /// another endpoint; `Some(Err(response))` for a malformed events request.
-fn events_job_id(request: &Request) -> Option<Result<u64, Response>> {
+#[must_use]
+pub fn events_job_id(request: &Request) -> Option<Result<u64, Response>> {
     let path = request.path.split('?').next().unwrap_or("");
     let id_text = path.strip_prefix("/v1/sweeps/")?.strip_suffix("/events")?;
     if request.method != "GET" {
@@ -197,20 +173,6 @@ fn events_job_id(request: &Request) -> Option<Result<u64, Response>> {
         Ok(id) => Ok(id),
         Err(_) => Err(Response::error(400, "job id must be hex")),
     })
-}
-
-fn record_request(ctx: &RouteCtx, status: u16, elapsed: Duration) {
-    let mut reg = ctx.metrics.lock().expect("metrics poisoned");
-    let id = reg.counter("serve.http_requests");
-    reg.inc(id);
-    let id = reg.counter(match status {
-        200..=299 => "serve.http_2xx",
-        400..=499 => "serve.http_4xx",
-        _ => "serve.http_5xx",
-    });
-    reg.inc(id);
-    let hist = reg.histogram("serve.request_micros");
-    reg.observe(hist, elapsed.as_micros() as u64);
 }
 
 /// Dispatches one request to its endpoint.
@@ -226,17 +188,7 @@ fn route(request: &Request, ctx: &RouteCtx) -> Response {
             ])
             .render(),
         ),
-        ("GET", "/metrics") => {
-            let reg = ctx.metrics.lock().expect("metrics poisoned");
-            let body = render_prometheus(&reg);
-            drop(reg);
-            Response {
-                status: 200,
-                content_type: "text/plain; version=0.0.4; charset=utf-8",
-                extra: Vec::new(),
-                body: body.into_bytes(),
-            }
-        }
+        ("GET", "/metrics") => Response::prometheus(&ctx.metrics),
         ("GET", "/v1/experiments") => Response::json(200, dice_bench::catalog_json().render()),
         ("POST", "/v1/sweeps") => submit_sweep(request, ctx),
         ("GET", p) if p.starts_with("/v1/sweeps/") => sweep_get(p, ctx),
@@ -261,25 +213,34 @@ fn submit_sweep(request: &Request, ctx: &RouteCtx) -> Response {
             id,
             coalesced,
             state,
-        } => Response::json(
-            202,
-            Json::Obj(vec![
-                ("id".into(), Json::str(format!("{id:016x}"))),
-                ("state".into(), Json::str(state.as_str())),
-                ("coalesced".into(), Json::Bool(coalesced)),
-            ])
-            .render(),
-        ),
+        } => accepted(id, coalesced, state),
         Submission::Overloaded { retry_after_s } => Response::error(429, "sweep queue full")
             .with_header("Retry-After", retry_after_s.to_string()),
         Submission::Draining => Response::error(503, "draining"),
     }
 }
 
-/// `GET /v1/sweeps/:id`, `GET /v1/sweeps/:id/report` and
-/// `GET /v1/sweeps/:id/trace` (`/v1/sweeps/:id/events` streams and is
-/// routed before dispatch reaches here).
-fn sweep_get(path: &str, ctx: &RouteCtx) -> Response {
+/// The `202` answer to an admitted (or coalesced) sweep submission.
+#[must_use]
+pub fn accepted(id: u64, coalesced: bool, state: JobState) -> Response {
+    Response::json(
+        202,
+        Json::Obj(vec![
+            ("id".into(), Json::str(format!("{id:016x}"))),
+            ("state".into(), Json::str(state.as_str())),
+            ("coalesced".into(), Json::Bool(coalesced)),
+        ])
+        .render(),
+    )
+}
+
+/// Splits `/v1/sweeps/:id[/report|/trace]` into the job id and the
+/// requested document (`None` for the status document).
+///
+/// # Errors
+///
+/// A `400` response when the id is not hex.
+pub fn sweep_path(path: &str) -> Result<(u64, Option<&'static str>), Response> {
     let rest = path.trim_start_matches("/v1/sweeps/");
     let (id_text, want) = if let Some(id) = rest.strip_suffix("/report") {
         (id, Some("report"))
@@ -288,8 +249,19 @@ fn sweep_get(path: &str, ctx: &RouteCtx) -> Response {
     } else {
         (rest, None)
     };
-    let Ok(id) = u64::from_str_radix(id_text, 16) else {
-        return Response::error(400, "job id must be hex");
+    match u64::from_str_radix(id_text, 16) {
+        Ok(id) => Ok((id, want)),
+        Err(_) => Err(Response::error(400, "job id must be hex")),
+    }
+}
+
+/// `GET /v1/sweeps/:id`, `GET /v1/sweeps/:id/report` and
+/// `GET /v1/sweeps/:id/trace` (`/v1/sweeps/:id/events` streams and is
+/// routed before dispatch reaches here).
+fn sweep_get(path: &str, ctx: &RouteCtx) -> Response {
+    let (id, want) = match sweep_path(path) {
+        Ok(parsed) => parsed,
+        Err(response) => return response,
     };
     match want {
         Some(doc) => {

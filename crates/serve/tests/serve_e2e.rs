@@ -13,7 +13,8 @@ use dice_obs::Json;
 use dice_runner::{engine_runs, Runner, RunnerConfig};
 use dice_serve::jobs::JobQueueConfig;
 use dice_serve::{
-    http_get, http_post, render_runs, validate_prometheus, ServeConfig, Server, SweepSpec,
+    http_get, http_post, render_runs, validate_prometheus, wait_sweep_end, ServeConfig, Server,
+    SweepSpec,
 };
 
 /// Serializes tests that read the process-global engine counters.
@@ -57,9 +58,7 @@ impl TestServer {
         let server = Server::bind(config).expect("bind ephemeral port");
         let addr = server.local_addr().expect("bound addr").to_string();
         let handle = server.handle();
-        let thread = std::thread::spawn(move || {
-            server.run().expect("server run");
-        });
+        let thread = std::thread::spawn(move || server.run());
         TestServer {
             addr,
             handle,
@@ -91,22 +90,10 @@ impl Drop for TestServer {
     }
 }
 
-/// Polls a job to `done` and returns the report body.
+/// Waits on a job's event stream to `done` and returns the report body.
 fn wait_report(addr: &str, id: &str) -> String {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let status = http_get(addr, &format!("/v1/sweeps/{id}")).expect("GET status");
-        assert_eq!(status.status, 200, "status body: {}", status.text());
-        let doc = Json::parse(&status.text()).expect("status JSON");
-        match doc.get("state").and_then(Json::as_str) {
-            Some("done") => break,
-            Some("failed") => panic!("sweep failed: {}", status.text()),
-            _ => {
-                assert!(Instant::now() < deadline, "sweep never finished");
-                std::thread::sleep(Duration::from_millis(10));
-            }
-        }
-    }
+    let end = wait_sweep_end(addr, id, Duration::from_secs(60)).expect("sweep finished");
+    assert_eq!(end.as_deref(), Some("done"));
     let report = http_get(addr, &format!("/v1/sweeps/{id}/report")).expect("GET report");
     assert_eq!(report.status, 200);
     report.text()
@@ -127,6 +114,7 @@ fn submit(addr: &str, spec: &str) -> (String, bool) {
 
 #[test]
 fn plumbing_endpoints_work() {
+    let _guard = serial();
     let server = TestServer::boot(4, 1, None);
     let addr = &server.addr;
 
@@ -192,6 +180,7 @@ fn sse_data_lines(body: &str) -> Vec<Json> {
 
 #[test]
 fn sse_streams_cell_events_in_order_and_trace_is_one_linked_tree() {
+    let _guard = serial();
     let server = TestServer::boot(4, 1, None);
     let addr = server.addr.clone();
     let (id, _) = submit(&addr, &spec_text(71));
