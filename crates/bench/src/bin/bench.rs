@@ -1,11 +1,10 @@
 //! `bench` — the pinned-seed perf-regression micro-suite.
 //!
 //! Runs a fixed set of hot-path benchmarks (compression size kernels, the
-//! page-batched size oracle, the L4 access loop, one end-to-end
-//! simulation cell, and streamed `.dtf` trace ingestion), then appends
-//! one entry per run to a results file
-//! (`BENCH_results.json` by default) recording ops/sec per hot path plus
-//! the git revision.
+//! page-batched size oracle, the L4 access loop, the DRAM device model, one
+//! end-to-end simulation cell, and streamed `.dtf` trace ingestion), then
+//! appends one entry per run to a results file (`BENCH_results.json` by
+//! default) recording ops/sec per hot path plus the git revision.
 //!
 //! Regression tracking: `--against <file>` compares this run to the last
 //! committed entry, normalizing by each machine's `calibration_ops`
@@ -29,9 +28,10 @@ use std::time::{Duration, Instant, SystemTime};
 
 use dice_compress::{compress, compress_pair, compressed_size, pair_compressed_size, LineData};
 use dice_core::{DramCacheConfig, DramCacheController, Organization, SizeInfo};
+use dice_dram::{AccessKind, DramConfig, DramDevice, Location};
 use dice_obs::Json;
 use dice_sim::{SimConfig, System, WorkloadSet};
-use dice_workloads::{line_data, spec_table, DataModel, PageClass, TraceGen};
+use dice_workloads::{line_data, spec_table, DataModel, PageClass, SplitMix64, TraceGen};
 
 const SEED: u64 = 0xd1ce;
 /// Minimum measurement window per micro-benchmark.
@@ -255,6 +255,64 @@ fn bench_l4_access() -> f64 {
     })
 }
 
+/// Per mille of stacked-L4 accesses submitted `[2^k, 2^(k+1))` cycles
+/// behind the newest submission on their channel, for k = 0..=11. Counted
+/// on `sweep_membound` seed 1 (61 M L4 accesses); 41.5 % arrive in order
+/// and 0.24 % reach further back than 4095 cycles (not reproduced here).
+const DRAM_BACK_PER_MILLE: [u64; 12] = [5, 10, 17, 28, 48, 83, 125, 100, 69, 54, 34, 12];
+
+/// The DRAM device model (queue, banks, bus placement) on a seeded
+/// stacked-L4 stream shaped after counts taken on `sweep_membound` seed 1:
+/// one access per channel every ~22 cycles, 39 % writes, 80/64 B transfers
+/// in a 4:1 mix, reach-back depths from [`DRAM_BACK_PER_MILLE`], and 83 %
+/// of rows from a hot set, giving the sweep's 0.69 row-hit rate. Its bus
+/// placement then sees ~400 live intervals and ~2.5 ending after
+/// `earliest` per call (the sweep: 339 and 2.9). Each pass replays the
+/// stream shifted past the previous one, so the device stays in steady
+/// state.
+fn bench_dram_access() -> f64 {
+    let cfg = DramConfig::stacked_l4();
+    let mut rng = SplitMix64::new(SEED);
+    let mut clock = 0u64;
+    let stream: Vec<(u64, AccessKind, Location, u32)> = (0..50_000)
+        .map(|_| {
+            clock += rng.below(12);
+            let mut draw = rng.below(1000);
+            let mut back = 0;
+            for (k, &w) in DRAM_BACK_PER_MILLE.iter().enumerate() {
+                if draw < w {
+                    back = (1 << k) + rng.below(1 << k);
+                    break;
+                }
+                draw -= w;
+            }
+            let row = if rng.below(100) < 83 {
+                rng.below(64)
+            } else {
+                rng.below(1 << 20)
+            };
+            let kind = if rng.below(100) < 39 {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            let bytes = if rng.below(5) == 0 { 64 } else { 80 };
+            let at = clock.saturating_sub(back);
+            (at, kind, Location::interleave(&cfg, row), bytes)
+        })
+        .collect();
+    let span = clock + (1 << 16);
+    let mut dev = DramDevice::new(cfg);
+    let mut base = 0;
+    measure(|| {
+        for &(at, kind, loc, bytes) in &stream {
+            black_box(dev.access(base + at, kind, loc, bytes));
+        }
+        base += span;
+        stream.len() as u64
+    })
+}
+
 /// One scaled-down end-to-end simulation cell (cores + L3 + L4 + DRAM
 /// timing + synthesized values), reported as trace records per second.
 fn bench_end2end_cell() -> f64 {
@@ -366,6 +424,7 @@ fn main() {
     benches.push(("pair_materialize", bench_pair_materialize(&pool)));
     benches.push(("size_oracle", bench_size_oracle()));
     benches.push(("l4_access", bench_l4_access()));
+    benches.push(("dram_access", bench_dram_access()));
     benches.push(("end2end_cell", bench_end2end_cell()));
     benches.push(("trace_ingest", bench_trace_ingest()));
 

@@ -39,6 +39,7 @@
 mod config;
 mod device;
 mod energy;
+mod fifo;
 mod stats;
 
 pub use config::DramConfig;
